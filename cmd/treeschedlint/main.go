@@ -1,28 +1,20 @@
-// Command treeschedlint is the repo's contract checker: a vet-style
-// multichecker bundling the analyzers of internal/analysis
-// (policypure, detfree, poollife, errtyped, hotalloc, locksafe,
-// goroleak). It runs two ways:
-//
-// As a vet tool — the mode CI uses (scripts/lint.sh):
-//
-//	go build -o bin/treeschedlint ./cmd/treeschedlint
-//	go vet -vettool=$(pwd)/bin/treeschedlint ./...
-//
-// go vet hands it one compilation unit at a time with compiler export
-// data, so typechecking is fast and results are build-cached.
-//
-// Standalone — convenient during development:
+// Command treeschedlint is the repo's contract checker: a multichecker
+// bundling the analyzers of internal/analysis (policypure, detfree,
+// poollife, errtyped, hotalloc, locksafe, goroleak). It loads packages
+// from source, so no build step is needed:
 //
 //	go run ./cmd/treeschedlint ./...
+//	go run ./cmd/treeschedlint -json ./...
 //	go run ./cmd/treeschedlint -detfree ./internal/trace
 //
-// Standalone mode loads packages from source (no build step needed).
-// In both modes -<analyzer>[=false] selects a subset, diagnostics are
+// Package patterns default to ./... and, like the go tool's, stop at a
+// subdirectory holding its own go.mod. -<analyzer> runs only the named
+// analyzers; -<analyzer>=false runs all but those. Diagnostics are
 // printed as file:line:col: message [analyzer], and the exit status is
-// nonzero iff diagnostics were reported. Standalone mode also takes
-// -json, which emits one JSON object per finding (analyzer, pos,
-// message, suppressed) on stdout — suppressed findings included, for
-// auditability — with exit status keyed to unsuppressed findings only.
+// 1 iff an unsuppressed diagnostic was reported (2 on load or
+// typecheck errors). -json emits one JSON object per finding
+// (analyzer, pos, message, suppressed) on stdout instead — suppressed
+// findings included, for auditability — with the same exit status.
 // A finding that is a proven false positive can be suppressed at the
 // site with
 //
@@ -36,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/detfree"
@@ -47,7 +40,6 @@ import (
 	"repro/internal/analysis/locksafe"
 	"repro/internal/analysis/policypure"
 	"repro/internal/analysis/poollife"
-	"repro/internal/analysis/unitchecker"
 )
 
 var analyzers = []*analysis.Analyzer{
@@ -61,30 +53,7 @@ var analyzers = []*analysis.Analyzer{
 }
 
 func main() {
-	progname := filepath.Base(os.Args[0])
-	args := os.Args[1:]
-
-	// `go vet` speaks the unitchecker protocol: -flags, -V=full, or a
-	// single *.cfg argument. Anything else is a standalone invocation
-	// with package patterns.
-	if unitchecker.IsCfgArgs(args) || hasProtocolFlag(args) {
-		if err := unitchecker.Main(progname, args, analyzers); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-			os.Exit(2)
-		}
-		return
-	}
-	os.Exit(standalone(progname, args))
-}
-
-func hasProtocolFlag(args []string) bool {
-	for _, a := range args {
-		switch a {
-		case "-flags", "--flags", "-V=full", "--V=full":
-			return true
-		}
-	}
-	return false
+	os.Exit(run(filepath.Base(os.Args[0]), os.Args[1:]))
 }
 
 // jsonFinding is the -json output shape: one object per finding, one
@@ -96,7 +65,7 @@ type jsonFinding struct {
 	Suppressed bool   `json:"suppressed"`
 }
 
-func standalone(progname string, args []string) int {
+func run(progname string, args []string) int {
 	jsonMode := false
 	var rest []string
 	for _, a := range args {
@@ -106,7 +75,7 @@ func standalone(progname string, args []string) int {
 		}
 		rest = append(rest, a)
 	}
-	selected, patterns := unitchecker.SelectByFlags(analyzers, rest)
+	selected, patterns := selectAnalyzers(rest)
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -148,4 +117,57 @@ func standalone(progname string, args []string) int {
 		}
 	}
 	return exit
+}
+
+// selectAnalyzers consumes the analyzer flags in args (-<name>,
+// -<name>=true|1, -<name>=false|0, with one or two dashes) and returns
+// the analyzers to run plus the remaining arguments. If any analyzer
+// is explicitly enabled, only the enabled ones run; otherwise all run
+// except the explicitly disabled.
+func selectAnalyzers(args []string) (selected []*analysis.Analyzer, rest []string) {
+	enabled := map[string]bool{}
+	for _, arg := range args {
+		name, on, ok := analyzerFlag(arg)
+		if !ok {
+			rest = append(rest, arg)
+			continue
+		}
+		enabled[name] = on
+	}
+	anyOn := false
+	for _, on := range enabled {
+		anyOn = anyOn || on
+	}
+	for _, a := range analyzers {
+		if on, explicit := enabled[a.Name]; on || !explicit && !anyOn {
+			selected = append(selected, a)
+		}
+	}
+	return selected, rest
+}
+
+// analyzerFlag parses arg as an analyzer enable/disable flag.
+func analyzerFlag(arg string) (name string, on, ok bool) {
+	body, dash := strings.CutPrefix(arg, "-")
+	if !dash {
+		return "", false, false
+	}
+	body = strings.TrimPrefix(body, "-")
+	name, val, hasVal := strings.Cut(body, "=")
+	on = true
+	if hasVal {
+		switch val {
+		case "true", "1":
+		case "false", "0":
+			on = false
+		default:
+			return "", false, false
+		}
+	}
+	for _, a := range analyzers {
+		if a.Name == name {
+			return name, on, true
+		}
+	}
+	return "", false, false
 }

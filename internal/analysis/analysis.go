@@ -5,13 +5,17 @@
 // repo has none — so the suite carries its own driver layer:
 //
 //	internal/analysis/load         loads+typechecks packages from source
-//	internal/analysis/unitchecker  speaks the `go vet -vettool` protocol
+//	internal/analysis/driver       runs analyzers dependency-first with
+//	                               an in-process fact store
 //	internal/analysis/analysistest runs analyzers over testdata fixtures
 //
-// The analyzers themselves (policypure, detfree, poollife, errtyped)
-// live in subpackages and are registered by cmd/treeschedlint. Each
-// enforces one contract the repo's correctness story otherwise states
-// only in prose; DESIGN.md §11 documents the contracts.
+// cmd/treeschedlint is the one command-line driver; it and
+// analysistest both go through driver.Session. The analyzers
+// themselves (policypure, detfree, poollife, errtyped, hotalloc,
+// locksafe, goroleak) live in subpackages and are registered by
+// cmd/treeschedlint. Each enforces one contract the repo's
+// correctness story otherwise states only in prose; DESIGN.md §11
+// documents the contracts.
 package analysis
 
 import (
@@ -34,11 +38,9 @@ type Analyzer struct {
 	Run func(pass *Pass) error
 	// FactTypes lists the fact types this analyzer exports or
 	// imports, one zero value per type. A non-empty list makes the
-	// drivers run the analyzer on dependency packages first (facts
+	// driver run the analyzer on dependency packages first (facts
 	// only, diagnostics discarded) and carry the exported facts to
-	// dependents — across build units via unitchecker's vetx files,
-	// in-process via a shared FactStore. Each listed type must be
-	// gob-encodable.
+	// dependents through a shared in-process FactStore.
 	FactTypes []Fact
 }
 
@@ -160,11 +162,11 @@ func (s ignoreSet) suppressed(fset *token.FileSet, name string, pos token.Pos) b
 // RunAnalyzer applies one analyzer to a typechecked package and returns
 // its diagnostics in source order, //lint:ignore'd ones marked
 // Suppressed rather than dropped. It installs the Report hook and
-// sorts by position, so every driver (vet protocol, standalone,
-// analysistest) reports the same findings for the same input. store
-// carries cross-package facts between runs; nil is fine for analyzers
-// without FactTypes (an ephemeral store is created so Export/Import
-// still work within the package).
+// sorts by position, so cmd/treeschedlint and analysistest report the
+// same findings for the same input. store carries cross-package facts
+// between runs; nil is fine for analyzers without FactTypes (an
+// ephemeral store is created so Export/Import still work within the
+// package).
 func RunAnalyzer(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, store *FactStore) ([]Diagnostic, error) {
 	if store == nil {
 		store = NewFactStore()

@@ -23,7 +23,7 @@
 //
 // Analyzers with FactTypes get their in-tree fixture dependencies
 // analyzed first (facts kept, diagnostics discarded), so cross-package
-// facts work inside fixtures exactly as they do under the vet driver.
+// facts work inside fixtures exactly as they do under cmd/treeschedlint.
 package analysistest
 
 import (

@@ -1,8 +1,9 @@
 // Package driver runs analyzers over source-loaded packages with
-// cross-package facts, dependency-first — the in-process counterpart
-// of the vet protocol's VetxOnly visits. The standalone
-// cmd/treeschedlint mode and analysistest both run through a Session,
-// so facts behave identically in every driver.
+// cross-package facts, dependency-first: before a package is analyzed,
+// the fact-producing analyzers run over its in-tree imports and leave
+// their facts in one in-process FactStore. cmd/treeschedlint and
+// analysistest both run through a Session, so the command line and the
+// fixtures see the same facts.
 package driver
 
 import (

@@ -1,8 +1,8 @@
 // Package errtyped enforces the typed-error contract: all four engines
-// surface deadlock/infeasibility as the one shared *core.ErrDeadlock
-// (sim/moldable/distributed alias it), possibly wrapped with %w, so a
-// caller matches any engine with a single errors.As. Matching by ==,
-// by concrete type assertion, or by grepping err.Error() silently stops
+// surface deadlock/infeasibility as the one shared *core.ErrDeadlock,
+// possibly wrapped with %w, so a caller matches any engine with a
+// single errors.As. Matching by ==, by concrete type assertion, or by
+// grepping err.Error() silently stops
 // working the moment an engine adds a fmt.Errorf("job %q: %w", ...)
 // wrapper — which multitree already does.
 //

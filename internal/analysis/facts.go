@@ -1,31 +1,21 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // A Fact is a typed datum an analyzer exports about a package-level
 // object for dependent packages to import (the x/tools go/analysis
 // facts mechanism, reduced to object facts). Concrete fact types are
-// pointer types (e.g. *hotalloc.Allocates), must be gob-encodable,
-// and are declared via Analyzer.FactTypes.
+// pointer types (e.g. *hotalloc.Allocates) declared via
+// Analyzer.FactTypes.
 type Fact interface {
 	// AFact is a marker method; it has no behaviour.
 	AFact()
 }
 
-// RegisterFactType registers a concrete fact type with gob so it can
-// cross build-unit boundaries inside a vetx file. Analyzers call it
-// from init for each FactTypes entry. Registering the same type twice
-// is harmless.
-func RegisterFactType(f Fact) { gob.Register(f) }
-
-// ObjectKey names a package-level object stably across build units:
+// ObjectKey names a package-level object stably across packages:
 // "Func" for functions and variables, "Recv.Method" for methods (the
 // pointer star of the receiver is dropped, so (*T).M and T.M share a
 // key — a types.Func's name/receiver pair is unique either way).
@@ -80,58 +70,4 @@ func (s *FactStore) get(analyzer, pkgPath, object string, dst Fact) bool {
 	}
 	dv.Elem().Set(sv.Elem())
 	return true
-}
-
-// Has reports whether any fact is stored for the triple, without
-// needing a destination of the right type.
-func (s *FactStore) Has(analyzer, pkgPath, object string) bool {
-	_, ok := s.facts[storeKey{analyzer, pkgPath, object}]
-	return ok
-}
-
-// wireFact is the gob wire form of one exported fact. The package
-// path is implicit: a vetx file holds exactly the facts of the
-// package it was produced for.
-type wireFact struct {
-	Analyzer string
-	Object   string
-	Fact     Fact
-}
-
-// EncodePackage serialises the facts exported for one package, in a
-// deterministic order, into the gob format stored in vetx files.
-func (s *FactStore) EncodePackage(pkgPath string) ([]byte, error) {
-	var wire []wireFact
-	for k, f := range s.facts {
-		if k.pkgPath == pkgPath {
-			wire = append(wire, wireFact{k.analyzer, k.object, f})
-		}
-	}
-	sort.Slice(wire, func(i, j int) bool {
-		if wire[i].Analyzer != wire[j].Analyzer {
-			return wire[i].Analyzer < wire[j].Analyzer
-		}
-		return wire[i].Object < wire[j].Object
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
-		return nil, fmt.Errorf("encoding facts for %s: %w", pkgPath, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePackage loads a vetx fact blob produced by EncodePackage into
-// the store under pkgPath. An empty blob is a valid empty fact set.
-func (s *FactStore) DecodePackage(pkgPath string, data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var wire []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
-		return fmt.Errorf("decoding facts for %s: %w", pkgPath, err)
-	}
-	for _, w := range wire {
-		s.put(w.Analyzer, pkgPath, w.Object, w.Fact)
-	}
-	return nil
 }

@@ -69,8 +69,6 @@ type Allocates struct {
 // AFact marks Allocates as a fact type.
 func (*Allocates) AFact() {}
 
-func init() { analysis.RegisterFactType(&Allocates{}) }
-
 // Analyzer is the hotalloc analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:      "hotalloc",
@@ -104,8 +102,6 @@ var roots = map[string]map[string]rootKind{
 		"EventHeap.Filter":   eventRoot,
 		"RankHeap.Push":      eventRoot,
 		"RankHeap.Pop":       eventRoot,
-		"FloatHeap.Push":     eventRoot,
-		"FloatHeap.Pop":      eventRoot,
 	},
 	"multitree": {
 		"Run": streamRoot,

@@ -192,9 +192,10 @@ func (l *Loader) load(importPath, dir string) (*Package, error) {
 
 // Expand resolves package patterns relative to the loader's root into
 // import paths: a trailing "/..." walks the directory tree collecting
-// every directory that holds non-test Go files (testdata and hidden
-// directories are skipped, matching the go tool). Plain patterns are
-// returned as-is after ./ cleanup.
+// every directory that holds non-test Go files. Like the go tool, the
+// walk skips testdata, hidden and _-prefixed directories, and does not
+// descend into a subdirectory with its own go.mod: that is a separate
+// module. Plain patterns are returned as-is after ./ cleanup.
 func (l *Loader) Expand(patterns []string) ([]string, error) {
 	var out []string
 	for _, pat := range patterns {
@@ -214,7 +215,7 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 				return nil
 			}
 			name := d.Name()
-			if p != start && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			if p != start && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || isModuleRoot(p)) {
 				return filepath.SkipDir
 			}
 			if hasGoFiles(p) {
@@ -256,4 +257,9 @@ func hasGoFiles(dir string) bool {
 		}
 	}
 	return false
+}
+
+func isModuleRoot(dir string) bool {
+	st, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil && !st.IsDir()
 }

@@ -217,7 +217,7 @@ func TestMemBookingRedTreeTightMemory(t *testing.T) {
 		switch err.(type) {
 		case nil:
 			completed++
-		case *sim.ErrDeadlock:
+		case *core.ErrDeadlock:
 			deadlocked++
 		default:
 			t.Fatalf("n=%d: %v", tr.Len(), err)

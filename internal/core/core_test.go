@@ -158,7 +158,7 @@ func TestMemBookingDeadlockDetected(t *testing.T) {
 	tr := tree.MustNew([]tree.NodeID{tree.None}, []float64{5}, []float64{5}, nil)
 	s := newMB(t, tr, 5)
 	_, err := sim.Run(tr, 1, s, nil)
-	if _, ok := err.(*sim.ErrDeadlock); !ok {
+	if _, ok := err.(*core.ErrDeadlock); !ok {
 		t.Fatalf("want ErrDeadlock, got %v", err)
 	}
 }

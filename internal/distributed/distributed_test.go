@@ -169,11 +169,10 @@ func TestDistributedDeadlockDetected(t *testing.T) {
 	ao, _ := order.MinMemPostOrder(tr)
 	plat := distributed.Uniform(1, 1, 5, 0)
 	_, err := distributed.Run(tr, plat, []int32{0}, ao, ao)
-	if _, ok := err.(*distributed.ErrDeadlock); !ok {
+	if _, ok := err.(*core.ErrDeadlock); !ok {
 		t.Fatalf("want ErrDeadlock, got %v", err)
 	}
-	// distributed.ErrDeadlock is an alias of core.ErrDeadlock: the same
-	// errors.As target matches every engine's deadlock.
+	// The same errors.As target matches every engine's deadlock.
 	var dead *core.ErrDeadlock
 	if !errors.As(err, &dead) {
 		t.Fatalf("errors.As(core.ErrDeadlock) failed on %v", err)
@@ -218,7 +217,7 @@ func TestDistributedMemoryAudit(t *testing.T) {
 		switch err.(type) {
 		case nil:
 			completed++
-		case *distributed.ErrDeadlock:
+		case *core.ErrDeadlock:
 			deadlocked++
 		default:
 			t.Fatalf("audit failure: %v", err)

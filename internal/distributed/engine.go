@@ -27,22 +27,16 @@ type Result struct {
 	BusyTime []float64
 }
 
-// ErrDeadlock reports a stalled distributed execution: nothing runs,
-// nothing is in flight, and no memory can be freed to admit more work.
-// It is an alias of core.ErrDeadlock — the one deadlock type shared by
-// all four engines (sim, executor, moldable, distributed) — with
-// Scheduler set to "distributed" and Booked the total booked memory
-// summed over the domains, so errors.As matches every engine's
-// deadlock with a single target.
-type ErrDeadlock = core.ErrDeadlock
-
-// deadlock builds the typed error from the per-domain booked totals.
-func deadlock(finished, total int, booked []float64) *ErrDeadlock {
+// deadlock reports a stalled distributed execution — nothing runs,
+// nothing is in flight, and no memory can be freed to admit more work —
+// as the deadlock type every engine shares, with Scheduler
+// "distributed" and Booked the booked memory summed over the domains.
+func deadlock(finished, total int, booked []float64) *core.ErrDeadlock {
 	sum := 0.0
 	for _, b := range booked {
 		sum += b
 	}
-	return &ErrDeadlock{Scheduler: "distributed", Finished: finished, Total: total, Booked: sum}
+	return &core.ErrDeadlock{Scheduler: "distributed", Finished: finished, Total: total, Booked: sum}
 }
 
 // Run executes t on the platform with the given task→domain mapping,

@@ -10,12 +10,6 @@ import (
 	"repro/internal/tree"
 )
 
-// ErrDeadlock is returned when the scheduler can make no progress. It
-// is an alias of core.ErrDeadlock — the one deadlock type shared by all
-// four engines (sim, executor, moldable, distributed) — so errors.As
-// matches a moldable deadlock with the same target as any other.
-type ErrDeadlock = core.ErrDeadlock
-
 // Result summarises a moldable simulation.
 type Result struct {
 	// Makespan is the completion time of the whole tree.
@@ -41,7 +35,8 @@ type Options struct {
 
 // Run simulates the moldable execution of t on p processors: each launch
 // occupies its width in processors for the profile-adjusted duration and
-// holds its workspace in memory until completion.
+// holds its workspace in memory until completion. A stall is reported
+// as *core.ErrDeadlock, the deadlock type every engine shares.
 func Run(t *tree.Tree, p int, s Scheduler, prof *Profile, opts *Options) (*Result, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -121,7 +116,7 @@ func Run(t *tree.Tree, p int, s Scheduler, prof *Profile, opts *Options) (*Resul
 		return nil, err
 	}
 	if running == 0 && finished < n {
-		return nil, &ErrDeadlock{Scheduler: s.Name(), Finished: finished, Total: n, Booked: s.BookedMemory()}
+		return nil, &core.ErrDeadlock{Scheduler: s.Name(), Finished: finished, Total: n, Booked: s.BookedMemory()}
 	}
 
 	var batch []tree.NodeID
@@ -156,7 +151,7 @@ func Run(t *tree.Tree, p int, s Scheduler, prof *Profile, opts *Options) (*Resul
 			return nil, err
 		}
 		if running == 0 && finished < n {
-			return nil, &ErrDeadlock{Scheduler: s.Name(), Finished: finished, Total: n, Booked: s.BookedMemory()}
+			return nil, &core.ErrDeadlock{Scheduler: s.Name(), Finished: finished, Total: n, Booked: s.BookedMemory()}
 		}
 	}
 	if finished != n {

@@ -68,15 +68,12 @@ func (r *Result) Utilization(p int) float64 {
 	return r.BusyTime / (float64(p) * r.Makespan)
 }
 
-// ErrDeadlock is returned when the scheduler can make no progress: no
-// task is running and none can be launched, yet the tree is unfinished.
-// Activation and MemBookingRedTree hit it when the memory bound is too
-// small; MemBooking never does while M ≥ peak(AO) (Theorem 1). The type
-// is shared with the live executor (it is an alias of core.ErrDeadlock),
-// so errors.As catches the deadlock of either engine.
-type ErrDeadlock = core.ErrDeadlock
-
-// Run simulates the execution of t on p processors driven by s.
+// Run simulates the execution of t on p processors driven by s. It
+// returns a *core.ErrDeadlock when the scheduler can make no progress:
+// no task is running and none can be launched, yet the tree is
+// unfinished. Activation and MemBookingRedTree hit it when the memory
+// bound is too small; MemBooking never does while M ≥ peak(AO)
+// (Theorem 1).
 func Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Result, error) {
 	return new(Runner).Run(t, p, s, opts)
 }
@@ -196,7 +193,7 @@ func (r *Runner) Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Res
 		return nil, err
 	}
 	if running == 0 && finished < n {
-		return nil, &ErrDeadlock{Scheduler: s.Name(), Finished: finished, Total: n, Booked: s.BookedMemory()}
+		return nil, &core.ErrDeadlock{Scheduler: s.Name(), Finished: finished, Total: n, Booked: s.BookedMemory()}
 	}
 
 	batch := r.batch[:0]
@@ -240,7 +237,7 @@ func (r *Runner) Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Res
 			return nil, err
 		}
 		if running == 0 && finished < n {
-			return nil, &ErrDeadlock{Scheduler: s.Name(), Finished: finished, Total: n, Booked: s.BookedMemory()}
+			return nil, &core.ErrDeadlock{Scheduler: s.Name(), Finished: finished, Total: n, Booked: s.BookedMemory()}
 		}
 	}
 	r.batch = batch
